@@ -12,17 +12,28 @@
 //! [`BroadcastInstance`] is a pure per-process state machine (no I/O): the
 //! caller moves messages between instances.  The Exact BVC process multiplexes
 //! `n` of these, one per source, over the synchronous network executor.
+//!
+//! A process sends the same relays to every other process, so a relay batch
+//! is a [`RelayBatch`]: one shared, immutable allocation, which each of the
+//! `n − 1` copies of a message references instead of copying.  A Byzantine
+//! sender that tells receivers different things builds a fresh batch per
+//! receiver.
 
-use crate::eig::{EigTree, Label};
+use crate::eig::{EigShape, EigTree, Label};
+use std::sync::Arc;
+
+/// The EIG relays of one round, `(node id, value)` pairs, shared by every
+/// receiver's copy of the message.
+pub type RelayBatch<V> = Arc<[(Label, V)]>;
 
 /// Payload of a broadcast-protocol message for one instance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BroadcastMessage<V> {
     /// Round 1: the source's value.
     Initial(V),
-    /// Rounds 2..=f+2: EIG relays (pairs of label and value) for EIG round
+    /// Rounds 2..=f+2: EIG relays (pairs of node id and value) for EIG round
     /// `round − 1`.
-    Relay(Vec<(Label, V)>),
+    Relay(RelayBatch<V>),
 }
 
 /// Per-process state machine for one Byzantine broadcast instance (one
@@ -52,8 +63,19 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
     ///
     /// Panics unless `n ≥ 3f + 1`, `f ≥ 1`, and `me, source < n`.
     pub fn new(n: usize, f: usize, me: usize, source: usize, default: V) -> Self {
+        Self::with_shape(Arc::new(EigShape::new(n, f)), me, source, default)
+    }
+
+    /// Creates the state machine on an EIG shape shared with the process's
+    /// other instances (every instance of one system has the same `(n, f)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `me, source < shape.n()`.
+    pub fn with_shape(shape: Arc<EigShape>, me: usize, source: usize, default: V) -> Self {
+        let (n, f) = (shape.n(), shape.f());
         assert!(source < n, "source index {source} out of range");
-        let tree = EigTree::new(n, f, me, default.clone());
+        let tree = EigTree::with_shape(shape, me, default.clone());
         Self {
             n,
             f,
@@ -115,7 +137,7 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
         }
         let relays = self.tree.messages_for_round(eig_round);
         self.tree.apply_own_relays(eig_round);
-        Some(BroadcastMessage::Relay(relays))
+        Some(BroadcastMessage::Relay(relays.into()))
     }
 
     /// Handles a message received from `from` during round `round`.
@@ -161,6 +183,15 @@ impl<V: Clone + PartialEq> BroadcastInstance<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The id of the node with `label` in the `(n, f)` tree.
+    fn node(n: usize, f: usize, label: &[usize]) -> Label {
+        EigShape::new(n, f).node(label).expect("well-formed label")
+    }
+
+    fn relay(pairs: &[(Label, i64)]) -> BroadcastMessage<i64> {
+        BroadcastMessage::Relay(pairs.into())
+    }
 
     /// Runs one broadcast instance synchronously.  `byzantine` processes send
     /// whatever `forge` returns (possibly different messages per receiver)
@@ -224,11 +255,11 @@ mod tests {
             if round == 1 {
                 None
             } else {
-                Some(BroadcastMessage::Relay(vec![
-                    (vec![], 900 + to as i64),
-                    (vec![0], 800 + to as i64),
-                    (vec![1], 700 + to as i64),
-                    (vec![3], 600 + to as i64),
+                Some(relay(&[
+                    (node(4, 1, &[]), 900 + to as i64),
+                    (node(4, 1, &[0]), 800 + to as i64),
+                    (node(4, 1, &[1]), 700 + to as i64),
+                    (node(4, 1, &[3]), 600 + to as i64),
                 ]))
             }
         });
@@ -244,7 +275,7 @@ mod tests {
             if round == 1 {
                 Some(BroadcastMessage::Initial(100 + to as i64))
             } else {
-                Some(BroadcastMessage::Relay(vec![(vec![1], 500 + to as i64)]))
+                Some(relay(&[(node(4, 1, &[1]), 500 + to as i64)]))
             }
         });
         assert_eq!(decisions.len(), 3);
@@ -264,10 +295,7 @@ mod tests {
             if round == 1 {
                 None
             } else {
-                Some(BroadcastMessage::Relay(vec![(
-                    vec![],
-                    (round * 100 + from * 10 + to) as i64,
-                )]))
+                Some(relay(&[(0, (round * 100 + from * 10 + to) as i64)]))
             }
         });
         assert_eq!(decisions, vec![13; 5]);
@@ -280,7 +308,7 @@ mod tests {
             if from == 1 && round == 1 {
                 Some(BroadcastMessage::Initial((to % 3) as i64))
             } else if round >= 2 {
-                Some(BroadcastMessage::Relay(vec![(vec![], to as i64)]))
+                Some(relay(&[(0, to as i64)]))
             } else {
                 None
             }
@@ -295,7 +323,7 @@ mod tests {
         // An Initial from a non-source process must be ignored.
         inst.receive(1, 2, &BroadcastMessage::Initial(99));
         // A Relay in round 1 must be ignored.
-        inst.receive(1, 0, &BroadcastMessage::Relay(vec![(vec![], 99)]));
+        inst.receive(1, 0, &relay(&[(0, 99)]));
         // Now the genuine initial from the source.
         inst.receive(1, 0, &BroadcastMessage::Initial(5));
         let _ = inst.message_for_round(2);

@@ -8,6 +8,13 @@
 //!   then everyone runs EIG consensus on what they received":
 //!   [`EigTree`] implements the consensus core, [`BroadcastInstance`] the
 //!   per-source broadcast state machine (`f + 2` synchronous rounds).
+//!   Each tree is a flat arena of `Option<V>` in breadth-first node order,
+//!   laid out by an [`EigShape`] that the trees of one `(n, f)` share; a
+//!   relay names its node by that integer id ([`Label`]).  A relay is ignored
+//!   unless its id lies in the round's level and its label does not contain
+//!   the sender, and the first value written to a node wins.  A round's
+//!   relays travel as one [`RelayBatch`], an `Arc`-shared slice, so the
+//!   `n − 1` copies of a message share one allocation.
 //! * **Asynchronous reliable broadcast** (`n ≥ 3f + 1`) — the first building
 //!   block of the AAD-style exchange used by the Approximate BVC algorithm.
 //!   [`ReliableBroadcastInstance`] implements Bracha-style echo broadcast with
@@ -25,6 +32,6 @@ pub mod broadcast;
 pub mod eig;
 pub mod reliable;
 
-pub use broadcast::{BroadcastInstance, BroadcastMessage};
-pub use eig::{strict_majority, EigTree, Label};
+pub use broadcast::{BroadcastInstance, BroadcastMessage, RelayBatch};
+pub use eig::{strict_majority, EigShape, EigTree, Label};
 pub use reliable::{RbMessage, RbStep, ReliableBroadcastInstance};

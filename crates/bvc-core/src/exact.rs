@@ -18,10 +18,11 @@
 
 use crate::config::BvcConfig;
 use bvc_adversary::PointForge;
-use bvc_broadcast::{BroadcastInstance, BroadcastMessage};
+use bvc_broadcast::{BroadcastInstance, BroadcastMessage, EigShape};
 use bvc_geometry::relaxed::decision_point;
 use bvc_geometry::{Point, PointMultiset, SharedGammaCache, ValidityPredicate};
 use bvc_net::{broadcast_to_all, Delivery, Outgoing, ProcessId, SyncProcess};
+use std::sync::Arc;
 
 /// Message exchanged by the Exact BVC protocol: a Byzantine-broadcast message
 /// tagged with the instance (source) it belongs to.
@@ -36,13 +37,14 @@ pub struct ExactMsg {
 impl ExactMsg {
     /// Replaces every point payload in this message by `point` (used by the
     /// Byzantine wrapper to forge values while keeping the message shape).
+    ///
+    /// A relay batch is shared with the other receivers' copies of the
+    /// message, so this builds a fresh batch and leaves theirs untouched.
     pub fn forge_points(&mut self, point: &Point) {
         match &mut self.payload {
             BroadcastMessage::Initial(v) => *v = point.clone(),
             BroadcastMessage::Relay(pairs) => {
-                for (_, v) in pairs.iter_mut() {
-                    *v = point.clone();
-                }
+                *pairs = pairs.iter().map(|(id, _)| (*id, point.clone())).collect();
             }
         }
     }
@@ -72,8 +74,11 @@ impl ExactBvcProcess {
         assert_eq!(input.dim(), config.d, "input dimension must equal config.d");
         assert!(config.f >= 1, "ExactBvcProcess requires f >= 1");
         let default = Point::uniform(config.d, config.lower_bound);
+        let shape = Arc::new(EigShape::new(config.n, config.f));
         let mut instances: Vec<BroadcastInstance<Point>> = (0..config.n)
-            .map(|source| BroadcastInstance::new(config.n, config.f, me, source, default.clone()))
+            .map(|source| {
+                BroadcastInstance::with_shape(Arc::clone(&shape), me, source, default.clone())
+            })
             .collect();
         instances[me].set_input(input);
         Self {
@@ -246,6 +251,24 @@ impl ByzantineExactProcess {
         self.inner = self.inner.with_gamma_cache(cache);
         self
     }
+
+    /// Forges each honest message with the point the strategy reports to its
+    /// receiver, dropping it where the strategy sends that receiver nothing
+    /// this round.
+    fn forge_outgoing(
+        &mut self,
+        round: usize,
+        honest: Vec<Outgoing<ExactMsg>>,
+    ) -> Vec<Outgoing<ExactMsg>> {
+        honest
+            .into_iter()
+            .filter_map(|mut outgoing| {
+                let point = self.forge.forge(round, outgoing.to.index())?;
+                outgoing.msg.forge_points(&point);
+                Some(outgoing)
+            })
+            .collect()
+    }
 }
 
 impl SyncProcess for ByzantineExactProcess {
@@ -254,19 +277,7 @@ impl SyncProcess for ByzantineExactProcess {
 
     fn round(&mut self, round: usize, inbox: &[Delivery<ExactMsg>]) -> Vec<Outgoing<ExactMsg>> {
         let honest = self.inner.round(round, inbox);
-        let mut forged = Vec::with_capacity(honest.len());
-        for mut outgoing in honest {
-            match self.forge.forge(round, outgoing.to.index()) {
-                Some(point) => {
-                    outgoing.msg.forge_points(&point);
-                    forged.push(outgoing);
-                }
-                None => {
-                    // Strategy says: send nothing to this receiver this round.
-                }
-            }
-        }
-        forged
+        self.forge_outgoing(round, honest)
     }
 
     fn output(&self) -> Option<Point> {
@@ -455,18 +466,79 @@ mod tests {
 
     #[test]
     fn forge_points_rewrites_payloads() {
+        let shape = EigShape::new(4, 1);
+        let ids = [shape.node(&[]).unwrap(), shape.node(&[1]).unwrap()];
         let mut msg = ExactMsg {
             source: 0,
-            payload: BroadcastMessage::Relay(vec![
-                (vec![], Point::new(vec![1.0, 2.0])),
-                (vec![1], Point::new(vec![3.0, 4.0])),
-            ]),
+            payload: BroadcastMessage::Relay(
+                vec![
+                    (ids[0], Point::new(vec![1.0, 2.0])),
+                    (ids[1], Point::new(vec![3.0, 4.0])),
+                ]
+                .into(),
+            ),
         };
         msg.forge_points(&Point::new(vec![9.0, 9.0]));
         if let BroadcastMessage::Relay(pairs) = &msg.payload {
             assert!(pairs.iter().all(|(_, v)| v.coords() == [9.0, 9.0]));
+            assert!(pairs.iter().map(|(id, _)| *id).eq(ids));
         } else {
             panic!("payload kind changed");
+        }
+    }
+
+    /// The relay batches of `out`, with the receiver of each.
+    fn batches(out: &[Outgoing<ExactMsg>], source: usize) -> Vec<(usize, &[(usize, Point)])> {
+        out.iter()
+            .filter(|o| o.msg.source == source)
+            .filter_map(|o| match &o.msg.payload {
+                BroadcastMessage::Relay(pairs) => Some((o.to.index(), &pairs[..])),
+                BroadcastMessage::Initial(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equivocation_leaves_the_shared_honest_batch_untouched() {
+        // n = 4, f = 1: Byzantine process 3 tells receivers 0 and 1 opposite
+        // corners in EIG round 2, where each batch carries three relays.
+        let cfg = config(4, 1, 2);
+        let nominal = Point::new(vec![0.5, 0.5]);
+        let forge = PointForge::new(
+            ByzantineStrategy::AntiConvergence,
+            2,
+            cfg.lower_bound,
+            cfg.upper_bound,
+            9,
+        );
+        let mut byz = ByzantineExactProcess::new(cfg.clone(), 3, nominal.clone(), forge);
+        let mut twin = ExactBvcProcess::new(cfg, 3, nominal);
+        for round in 1..=2 {
+            let _ = byz.round(round, &[]);
+            let _ = twin.round(round, &[]);
+        }
+        let honest = byz.inner.round(3, &[]);
+        let kept = honest.clone();
+        let forged = byz.forge_outgoing(3, honest);
+        let reference = twin.round(3, &[]);
+        assert_eq!(kept, reference, "forging rewrote the honest messages");
+
+        for source in 0..4 {
+            let shared = batches(&kept, source);
+            assert_eq!(shared.len(), 3);
+            assert!(shared
+                .iter()
+                .all(|(_, b)| b.as_ptr() == shared[0].1.as_ptr()));
+            let sent = batches(&forged, source);
+            let to0 = sent.iter().find(|(to, _)| *to == 0).unwrap().1;
+            let to1 = sent.iter().find(|(to, _)| *to == 1).unwrap().1;
+            assert_eq!(to0.len(), 3);
+            assert!(to0.iter().all(|(_, v)| *v == to0[0].1));
+            assert!(to1.iter().all(|(_, v)| *v == to1[0].1));
+            assert_ne!(to0[0].1, to1[0].1, "receivers 0 and 1 must be told apart");
+            assert!(to0.iter().zip(shared[0].1).all(|(a, b)| a.0 == b.0));
+            assert_ne!(to0.as_ptr(), to1.as_ptr());
+            assert_ne!(to0.as_ptr(), shared[0].1.as_ptr());
         }
     }
 
